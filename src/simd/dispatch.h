@@ -1,4 +1,4 @@
-// Runtime kernel dispatch: pick the widest backend the CPU supports, let
+// Runtime kernel dispatch: pick the preferred backend the CPU supports, let
 // GDSM_KERNEL= (or a force_backend call) override it, and meter every call.
 //
 // All DP call sites in the tree (sw/linear_score, sw/hirschberg,
@@ -6,21 +6,20 @@
 // free functions below; they never name a backend.  Selection happens once,
 // on first use:
 //
-//   1. compiled-in candidates: scalar + striped-scalar always; sse41/avx2
-//      and their striped twins on x86 builds; striped-avx512 when the
-//      toolchain accepted the AVX-512BW flags
+//   1. compiled-in candidates: scalar + striped-scalar always; avx2 and
+//      striped-avx2 on x86 builds
 //   2. CPUID (__builtin_cpu_supports) drops what the host can't run
-//   3. the preferred survivor wins (striped-avx2 when available; see
-//      available_backends on why AVX-512 isn't auto-picked) — unless
-//      GDSM_KERNEL=
-//      scalar|sse41|avx2|striped-scalar|striped-sse41|striped-avx2|
-//      striped-avx512 forces one (an unavailable or unknown name warns once
-//      on stderr and falls back to the auto pick, it never aborts a run)
+//   3. the preferred survivor wins (striped-avx2 with AVX2, striped-scalar
+//      without) — unless GDSM_KERNEL=scalar|striped-scalar|avx2|striped-avx2
+//      forces one (an unavailable or unknown name warns once on stderr and
+//      falls back to the auto pick, it never aborts a run)
 //
-// The striped backends (striped.h) replace only block_best — the one
-// score-only kernel — with the Farrar query-profile sweep; the other four
-// kernels of a striped entry delegate to the paired anti-diagonal backend,
-// so forcing a striped backend is always total.
+// scalar is never auto-picked: it is the reference the differential suite
+// holds the others to, reachable only by forcing.  The striped backends
+// (striped.h) replace only block_best — the one score-only kernel — with the
+// Farrar query-profile sweep; the other four kernels of a striped entry
+// delegate to the paired anti-diagonal backend, so forcing a striped backend
+// is always total.
 //
 // tests and benches re-pin the choice with force_backend(); docs/KERNELS.md
 // has the full backend matrix and the 16/32-bit width-routing rules.
@@ -37,23 +36,18 @@ namespace gdsm::simd {
 
 enum class Backend : int {
   kScalar = 0,
-  kSse41 = 1,
+  kStripedScalar = 1,
   kAvx2 = 2,
-  kStripedScalar = 3,
-  kStripedSse41 = 4,
-  kStripedAvx2 = 5,
-  kStripedAvx512 = 6,
+  kStripedAvx2 = 3,
 };
 
-/// Stable lower-case name ("scalar", "sse41", "avx2", "striped-scalar",
-/// "striped-sse41", "striped-avx2", "striped-avx512") — the GDSM_KERNEL
-/// vocabulary, also what reports and NodeStats carry.
+/// Stable lower-case name ("scalar", "striped-scalar", "avx2",
+/// "striped-avx2") — the GDSM_KERNEL vocabulary, also what reports and
+/// NodeStats carry.
 const char* backend_name(Backend b);
 
 /// Backends compiled into this binary *and* runnable on this CPU, preferred
-/// (auto-pick) last.  Always contains kScalar.  striped-avx512 deliberately
-/// ranks below striped-avx2 (512-bit frequency licensing on the target
-/// parts; see dispatch.cpp); force it explicitly on full-rate hosts.
+/// (auto-pick) last: scalar, striped-scalar[, avx2, striped-avx2].
 std::vector<Backend> available_backends();
 
 /// The backend the free functions currently dispatch to.

@@ -138,23 +138,6 @@ void nw_last_row_affine(const Base* a_seq, std::size_t a_len, const Base* b_seq,
                         std::int32_t* out_e);
 }  // namespace scalar
 
-#if GDSM_SIMD_SSE41
-namespace sse41 {
-BestCell block_best(const DiagBlock& blk, const ScoreParams& sp);
-void block_count(const DiagBlock& blk, const ScoreParams& sp,
-                 std::int32_t threshold, std::uint64_t* count_by_a);
-void block_hits(const DiagBlock& blk, const ScoreParams& sp,
-                std::int32_t threshold, const HitSink& sink);
-void nw_last_row(const Base* a_seq, std::size_t a_len, const Base* b_seq,
-                 std::size_t b_len, const ScoreParams& sp,
-                 std::int32_t* out_by_a);
-void nw_last_row_affine(const Base* a_seq, std::size_t a_len, const Base* b_seq,
-                        std::size_t b_len, const ScoreParams& sp,
-                        std::int32_t tb_open, std::int32_t* out_h,
-                        std::int32_t* out_e);
-}  // namespace sse41
-#endif
-
 #if GDSM_SIMD_AVX2
 namespace avx2 {
 BestCell block_best(const DiagBlock& blk, const ScoreParams& sp);

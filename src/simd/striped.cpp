@@ -35,7 +35,7 @@ inline int biased_sub(Base qc, Base dc, const ScoreParams& sp, int bias) {
 
 /// Cache key: exact query bytes + the four score params + lane geometry.
 /// Lane geometry matters because segment length (hence layout) depends on
-/// it; scalar and SSE4.1 share a geometry and therefore share entries.
+/// it, so striped-scalar and striped-avx2 never share entries.
 struct CacheKey {
   std::string query;
   int match, mismatch, gap, gap_open;
@@ -117,12 +117,9 @@ std::shared_ptr<const detail::QueryProfile> build_profile(
 std::pair<int, int> active_lane_geometry() {
   switch (active_backend()) {
     case Backend::kStripedScalar:
-    case Backend::kStripedSse41:
       return {16, 8};
     case Backend::kStripedAvx2:
       return {32, 16};
-    case Backend::kStripedAvx512:
-      return {64, 32};
     default:
       return {0, 0};
   }

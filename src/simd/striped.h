@@ -109,20 +109,8 @@ namespace striped_scalar {
 BestCell block_best(const DiagBlock& blk, const ScoreParams& sp);
 }
 
-#if GDSM_SIMD_SSE41
-namespace striped_sse41 {
-BestCell block_best(const DiagBlock& blk, const ScoreParams& sp);
-}
-#endif
-
 #if GDSM_SIMD_AVX2
 namespace striped_avx2 {
-BestCell block_best(const DiagBlock& blk, const ScoreParams& sp);
-}
-#endif
-
-#if GDSM_SIMD_AVX512
-namespace striped_avx512 {
 BestCell block_best(const DiagBlock& blk, const ScoreParams& sp);
 }
 #endif

@@ -254,9 +254,9 @@ inline BestCell striped_block_best_impl(
 }
 
 // ---------------------------------------------------------------------------
-// Portable striped engines: the striped-scalar reference backend, plain C++
-// over fixed-size lane arrays (the SSE4.1 lane geometry, so scalar and
-// sse41 share cached profiles).  Compilers auto-vectorize these on any ISA.
+// Portable striped engines: the striped-scalar backend, plain C++ over
+// fixed-size 128-bit lane arrays (16 x 8-bit, 8 x 16-bit).  Compilers
+// auto-vectorize these on any ISA.
 
 template <class WordT, int N>
 struct StripedScalarEngine {

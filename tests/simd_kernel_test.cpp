@@ -48,12 +48,6 @@ bool backend_available(Backend b) {
 
 std::vector<BackendFns> vector_backends() {
   std::vector<BackendFns> out;
-#if GDSM_SIMD_SSE41
-  if (backend_available(Backend::kSse41))
-    out.push_back({"sse41", sse41::block_best, sse41::block_count,
-                   sse41::block_hits, sse41::nw_last_row,
-                   sse41::nw_last_row_affine});
-#endif
 #if GDSM_SIMD_AVX2
   if (backend_available(Backend::kAvx2))
     out.push_back({"avx2", avx2::block_best, avx2::block_count,
@@ -68,22 +62,10 @@ std::vector<BackendFns> vector_backends() {
   out.push_back({"striped-scalar", striped_scalar::block_best,
                  scalar::block_count, scalar::block_hits, scalar::nw_last_row,
                  scalar::nw_last_row_affine});
-#if GDSM_SIMD_SSE41
-  if (backend_available(Backend::kStripedSse41))
-    out.push_back({"striped-sse41", striped_sse41::block_best,
-                   sse41::block_count, sse41::block_hits, sse41::nw_last_row,
-                   sse41::nw_last_row_affine});
-#endif
 #if GDSM_SIMD_AVX2
   if (backend_available(Backend::kStripedAvx2))
     out.push_back({"striped-avx2", striped_avx2::block_best, avx2::block_count,
                    avx2::block_hits, avx2::nw_last_row,
-                   avx2::nw_last_row_affine});
-#endif
-#if GDSM_SIMD_AVX512
-  if (backend_available(Backend::kStripedAvx512))
-    out.push_back({"striped-avx512", striped_avx512::block_best,
-                   avx2::block_count, avx2::block_hits, avx2::nw_last_row,
                    avx2::nw_last_row_affine});
 #endif
   return out;
@@ -452,9 +434,13 @@ TEST(SimdKernelDispatch, ForcingIsObeyedAndConsistent) {
     EXPECT_EQ(active_backend(), b);
     EXPECT_EQ(force_backend(backend_name(b)), b) << backend_name(b);
   }
-  // Unknown names keep the current choice.
+  // Unknown names keep the current choice — including names of backends
+  // this build no longer has, so a stale GDSM_KERNEL setting never aborts.
   const Backend cur = active_backend();
-  EXPECT_EQ(force_backend("no-such-kernel"), cur);
+  for (const char* name :
+       {"no-such-kernel", "sse41", "striped-sse41", "striped-avx512"}) {
+    EXPECT_EQ(force_backend(name), cur) << name;
+  }
 
   // Same answers through the full sw_* wrappers under every forcing.
   std::mt19937 rng(99);
@@ -484,6 +470,22 @@ TEST(SimdKernelDispatch, ForcingIsObeyedAndConsistent) {
     EXPECT_EQ(agot.end_i, aref.end_i) << backend_name(b);
     EXPECT_EQ(agot.end_j, aref.end_j) << backend_name(b);
   }
+}
+
+// The auto pick is the last entry of available_backends(): striped-avx2
+// with AVX2, the portable striped-scalar without — never the scalar
+// reference, which is only ever forced.
+TEST(SimdKernelDispatch, AutoPickIsPreferredLastAndNeverScalar) {
+  const std::vector<Backend> avail = available_backends();
+  ASSERT_FALSE(avail.empty());
+  EXPECT_NE(avail.back(), Backend::kScalar);
+#if GDSM_SIMD_AVX2
+  const bool has_avx2 = __builtin_cpu_supports("avx2") != 0;
+#else
+  const bool has_avx2 = false;
+#endif
+  EXPECT_EQ(avail.back(),
+            has_avx2 ? Backend::kStripedAvx2 : Backend::kStripedScalar);
 }
 
 TEST(SimdKernelDispatch, StatsAccumulateCellsAndBackendName) {

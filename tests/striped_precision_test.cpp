@@ -40,17 +40,9 @@ bool backend_available(Backend b) {
 
 std::vector<StripedFn> striped_backends_under_test() {
   std::vector<StripedFn> out{{"striped-scalar", striped_scalar::block_best}};
-#if GDSM_SIMD_SSE41
-  if (backend_available(Backend::kStripedSse41))
-    out.push_back({"striped-sse41", striped_sse41::block_best});
-#endif
 #if GDSM_SIMD_AVX2
   if (backend_available(Backend::kStripedAvx2))
     out.push_back({"striped-avx2", striped_avx2::block_best});
-#endif
-#if GDSM_SIMD_AVX512
-  if (backend_available(Backend::kStripedAvx512))
-    out.push_back({"striped-avx512", striped_avx512::block_best});
 #endif
   return out;
 }

@@ -11,12 +11,12 @@
 #                                 from the README documentation map
 #   2. configure + build (Release, build/)
 #   3. ctest -L tier1          -- the correctness gate (see ROADMAP.md)
-#   4. kernel dispatch         -- tier1 re-run once per SIMD backend this
-#                                 host supports (GDSM_KERNEL=scalar|sse41|
-#                                 avx2 plus the striped-* query-profile
-#                                 family; docs/KERNELS.md).  striped-avx512
-#                                 is skipped with a notice on hosts without
-#                                 AVX-512BW
+#   4. kernel dispatch         -- tier1 re-run once per other SIMD backend
+#                                 this host supports (GDSM_KERNEL=scalar|
+#                                 striped-scalar|avx2|striped-avx2 minus the
+#                                 auto pick; docs/KERNELS.md), plus a check
+#                                 that a stale GDSM_KERNEL name warns and
+#                                 falls back to the auto pick
 #   5. affine dispatch         -- oracle-verified --gap=affine service run
 #                                 once per backend (docs/ALGORITHMS.md)
 #   6. comm ablation           -- the DSM suites re-run once per data-plane
@@ -50,9 +50,12 @@
 #                                 (docs/SERVICE.md "Cascade")
 #  13. (--tsan) TSan build + the dsm/fault/oracle/service/db suites raced
 #      under ThreadSanitizer (admission must stay deadlock-free; the preset
-#      builds the same SSE4.1/AVX2 kernel objects as the Release build;
+#      builds the same AVX2 kernel object as the Release build;
 #      the process backend is exercised by stage 7, not here -- TSan does
 #      not follow children across fork)
+#
+# Each stage prints its wall time when it ends; the run closes with the
+# total wall time and the line count of src/**/*.{h,cpp}.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -65,9 +68,23 @@ for arg in "$@"; do
   esac
 done
 
+STAGE=""
+end_stage() {
+  if [ -n "$STAGE" ]; then
+    echo "<== $STAGE: $((SECONDS - STAGE_T0)) s"
+  fi
+}
+# Starts a timed stage, closing the previous one.
+stage() {
+  end_stage
+  STAGE="$1"
+  STAGE_T0=$SECONDS
+  echo "==> $1"
+}
+
 # Stage 1: the documentation is part of the interface — a broken relative
 # link or an orphaned docs/ page fails CI before anything is compiled.
-echo "==> docs link check"
+stage "docs link check"
 DOCS_FAIL=0
 for f in README.md docs/*.md; do
   # Inline markdown link targets, web links and pure #anchors excluded;
@@ -94,23 +111,28 @@ for doc in docs/*.md; do
 done
 [ "$DOCS_FAIL" -eq 0 ] || exit 1
 
-echo "==> configure + build (Release)"
+stage "configure + build (Release)"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 
-echo "==> ctest -L tier1"
+stage "ctest -L tier1"
 ctest --test-dir build -L tier1 --output-on-failure -j "$JOBS"
 
-# The default pass above ran on the auto-picked (widest) backend; repeat the
-# gate with dispatch pinned to every other backend this host can run, so the
-# scalar reference and each vector path stay release-gated even on AVX2 hosts.
+# The default pass above ran on the auto-picked (preferred-last) backend;
+# repeat the gate with dispatch pinned to every other backend this host can
+# run, so the scalar reference and each fast path stay release-gated.
+stage "kernel dispatch"
 ACTIVE_BACKEND="$(build/tools/kernel_info --active)"
 AVAILABLE_BACKENDS="$(build/tools/kernel_info)"
-case " $(echo $AVAILABLE_BACKENDS) " in
-  *" striped-avx512 "*) : ;;
-  *) echo "==> notice: striped-avx512 unavailable on this build/CPU" \
-         "(needs AVX-512F+BW); skipping its tier1 forcing" ;;
-esac
+AUTO_PICK="$(echo "$AVAILABLE_BACKENDS" | tail -n 1)"
+# A GDSM_KERNEL naming a backend this build no longer has must warn and fall
+# back to the auto pick, never abort the run.
+STALE_PICK="$(GDSM_KERNEL=striped-avx512 build/tools/kernel_info --active)"
+if [ "$STALE_PICK" != "$AUTO_PICK" ]; then
+  echo "ci.sh: GDSM_KERNEL=striped-avx512 picked '$STALE_PICK'," \
+       "expected the auto pick '$AUTO_PICK'" >&2
+  exit 1
+fi
 for backend in $AVAILABLE_BACKENDS; do
   [ "$backend" = "$ACTIVE_BACKEND" ] && continue
   echo "==> ctest -L tier1 (GDSM_KERNEL=$backend)"
@@ -122,7 +144,8 @@ done
 # service batch with --gap=affine pinned to every backend, so each vector
 # path's three-matrix sweep is release-gated against the serial Gotoh
 # reference end-to-end (admission -> scheduler -> kernels -> verify).
-for backend in $(build/tools/kernel_info); do
+stage "affine dispatch"
+for backend in $AVAILABLE_BACKENDS; do
   echo "==> affine dispatch (GDSM_KERNEL=$backend, --gap=affine)"
   GDSM_KERNEL="$backend" build/tools/align_serve --queries=8 --subjects=2 \
     --subject-len=1500 --query-len=200 --gap=affine --verify --quiet
@@ -132,6 +155,7 @@ done
 # with the built-in batched plane; re-run the DSM-facing suites with the
 # plane forced to each mode so the legacy bit-identical path and the
 # read-ahead path stay release-gated too.
+stage "comm ablation"
 for comm in legacy batched batched+prefetch; do
   echo "==> DSM suites (GDSM_COMM=$comm)"
   for t in dsm_test dsm_stress_test fault_injection_test \
@@ -148,7 +172,7 @@ done
 # backend-specific gates (killed child surfaces as a failure, not a hang).
 # ASAN_OPTIONS lets the user SIGSEGV handler coexist with sanitized builds
 # should this stage ever run against one; harmless on the Release tree.
-echo "==> proc_smoke (GDSM_BACKEND=process)"
+stage "proc_smoke (GDSM_BACKEND=process)"
 PROC_ASAN="handle_segv=0:allow_user_segv_handler=1${ASAN_OPTIONS:+:$ASAN_OPTIONS}"
 for t in proc_test dsm_test dsm_stress_test fault_injection_test \
          differential_oracle_test cluster_submit_test strategy_test; do
@@ -161,18 +185,18 @@ done
 GDSM_BACKEND=process ASAN_OPTIONS="$PROC_ASAN" \
   build/tools/fuzz_align --budget-s=10 --quiet
 
-echo "==> ctest -L bench_smoke"
+stage "ctest -L bench_smoke"
 ctest --test-dir build -L bench_smoke --output-on-failure
 
-echo "==> fuzz_align (30 s budget)"
+stage "fuzz_align (30 s budget)"
 build/tools/fuzz_align --budget-s=30 --quiet
 
-echo "==> service_smoke (5 s oracle-verified loadgen, mixed gap models)"
+stage "service_smoke (5 s oracle-verified loadgen, mixed gap models)"
 build/tools/loadgen --rate=120 --duration-s=5 --subjects=2 \
   --subject-len=2000 --query-len=250 --queue-cap=512 --min-in-flight=4 \
   --gap=mixed --quiet
 
-echo "==> db_smoke (oracle-verified database serving + ASan re-run)"
+stage "db_smoke (oracle-verified database serving + ASan re-run)"
 # Release-tree gate: an open-loop database burst judged against the serial
 # all-pairs oracle, then a short differential fuzz over the fault matrix.
 build/tools/loadgen --db-gen=3 --subject-len=1200 --query-len=150 \
@@ -192,7 +216,7 @@ build-asan/tools/fuzz_align --db --seed=1 --faults=none --quiet
 echo "==> striped escalation suite (ASan)"
 build-asan/tests/striped_precision_test --gtest_brief=1
 
-echo "==> db_cascade (certified seed-and-extend + persisted index)"
+stage "db_cascade (certified seed-and-extend + persisted index)"
 # Cascade on/off hit-for-hit identity against the brute-force oracle,
 # admissibility adversaries (random / high-identity / tandem-repeat probes,
 # both gap models) and the persisted-index round-trip with its corrupted-
@@ -207,7 +231,7 @@ build-asan/tests/db_cascade_test --gtest_brief=1
 GDSM_DB_BOUND=scalar build/tests/db_cascade_test --gtest_brief=1
 
 if [ "$RUN_TSAN" -eq 1 ]; then
-  echo "==> TSan build + concurrency suites"
+  stage "TSan build + concurrency suites"
   cmake -B build-tsan -S . -DGDSM_TSAN=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build build-tsan -j "$JOBS" --target \
@@ -230,4 +254,7 @@ if [ "$RUN_TSAN" -eq 1 ]; then
     --queue-cap=256 --min-score=40 --quiet
 fi
 
-echo "==> CI OK"
+end_stage
+echo "==> source lines (src/**/*.{h,cpp}):" \
+  "$(find src \( -name '*.h' -o -name '*.cpp' \) -exec cat {} + | wc -l)"
+echo "==> CI OK in $SECONDS s"

@@ -1,7 +1,8 @@
 // kernel_info: print the SIMD kernel backends this binary can run on this
-// host, one name per line (the GDSM_KERNEL vocabulary), widest last.  With
-// --active, print only the backend the dispatch would pick (honouring
-// GDSM_KERNEL).  tools/ci.sh uses the list to run tier-1 once per backend.
+// host, one name per line (the GDSM_KERNEL vocabulary), preferred (the auto
+// pick) last.  With --active, print only the backend the dispatch would pick
+// (honouring GDSM_KERNEL).  tools/ci.sh uses the list to run tier-1 once per
+// backend.
 #include <cstring>
 #include <iostream>
 
