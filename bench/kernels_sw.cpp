@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "core/band_compute.h"
 #include "gbench_json.h"
 #include "simd/dispatch.h"
 #include "sw/full_matrix.h"
@@ -143,14 +144,59 @@ void BM_ScanHitsBackend(benchmark::State& state, simd::Backend backend) {
   set_cell_rate(state);
 }
 
+// The serial scan always runs the scalar reference kernel, whatever the
+// dispatch picked, so this is the scalar candidate-tracking rate.
 void BM_HeuristicScan(benchmark::State& state) {
   const auto [s, t] = inputs(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(heuristic_scan(s, t));
   }
-  state.SetItemsProcessed(state.iterations() * state.range(0) * state.range(0));
+  set_cell_rate(state);
 }
 BENCHMARK(BM_HeuristicScan)->Arg(256)->Arg(1024)->Arg(4096);
+
+// The candidate-tracking kernel on the service's block shape: a 250 bp
+// query against a 4 kbp subject on 4 nodes with the scheduler's 8x8 grid
+// gives blocks of 31 rows x 500 columns.  One iteration is one band of eight
+// such blocks through compute_band, the loop the blocked strategies share,
+// so the dispatched strip kernel (or, on the scalar backends, its scalar
+// reference) is what gets timed.  Arg: 0 = linear gaps, 1 = affine.
+void run_heuristic_block(benchmark::State& state) {
+  Rng rng(2025);
+  const Sequence t = random_dna(4000, rng, "t");
+  const Sequence s = mutate(t.slice(1000, 1031), 0.05, 0.0, rng);
+  ScoreScheme sc;
+  if (state.range(0) != 0) {
+    sc.gap_open = -3;
+    sc.gap = -1;
+  }
+  const HeuristicKernel kernel(sc, HeuristicParams{});
+  const core::BlockGrid grid = core::make_grid(s.size(), t.size(), 1, 8);
+  for (auto _ : state) {
+    CandidateSink sink(kernel.params());
+    core::compute_band(
+        kernel, s, t, grid, 0, sink, [](std::size_t, std::span<CellInfo>) {},
+        [](std::size_t, std::span<const CellInfo>) {});
+    benchmark::DoNotOptimize(sink.queue().data());
+  }
+  const double cells = static_cast<double>(s.size() * t.size());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(s.size() * t.size()));
+  state.counters["cells_per_second"] =
+      benchmark::Counter(cells, benchmark::Counter::kIsIterationInvariantRate);
+}
+
+void BM_HeuristicBlock(benchmark::State& state) { run_heuristic_block(state); }
+BENCHMARK(BM_HeuristicBlock)->Arg(0)->Arg(1);
+
+void BM_HeuristicBlockBackend(benchmark::State& state, simd::Backend backend) {
+  ForcedBackend forced(backend);
+  if (!forced.ok()) {
+    state.SkipWithError("backend unavailable on this host");
+    return;
+  }
+  run_heuristic_block(state);
+}
 
 void BM_NeedlemanWunsch(benchmark::State& state) {
   const auto [s, t] = inputs(static_cast<std::size_t>(state.range(0)));
@@ -207,6 +253,10 @@ int main(int argc, char** argv) {
         ->Arg(256)
         ->Arg(1024)
         ->Arg(4096);
+    benchmark::RegisterBenchmark(("BM_HeuristicBlock_" + suffix).c_str(),
+                                 BM_HeuristicBlockBackend, b)
+        ->Arg(0)
+        ->Arg(1);
   }
   // run_all.sh's BENCH_KERNELS axis re-runs this bench under GDSM_KERNEL
   // forcings; a forced run gets a suffixed experiment id so its rows sit

@@ -1,13 +1,17 @@
 // The band/block compute loop shared by the DSM and the message-passing
 // variants of the blocked heuristic strategy.  The only difference between
 // the two is HOW a block's top boundary arrives and HOW its bottom boundary
-// is published, so those are injected as callables.
+// is published, so those are injected as callables.  Each block runs through
+// the dispatched candidate strip kernel (simd/cand_kernel.h) when the active
+// backend has one, else through HeuristicKernel::process_block, its scalar
+// reference.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "core/partition.h"
+#include "simd/dispatch.h"
 #include "sw/heuristic_scan.h"
 #include "util/sequence.h"
 
@@ -29,44 +33,49 @@ void compute_band(const HeuristicKernel& kernel, const Sequence& s,
   const std::size_t H = grid.band_height(b);
   const std::size_t K = grid.blocks();
   const bool last_band = (b + 1 == grid.bands());
-  const CellInfo zero{};
+  const simd::CandParams cp = kernel.cand_params();
 
   // Right edge of the previous block: [0] is the diagonal input for the
-  // first row, [r] the left input for row r.  Column 0 is all zeros.
-  std::vector<CellInfo> left_edge(H + 1, zero);
+  // first row, [1 + r] the left input for row r.  Column 0 is all zeros.
+  std::vector<CellInfo> left_edge(H + 1);
+  std::vector<CellInfo> new_edge(H + 1);
   std::vector<CellInfo> top_row;
-  std::vector<CellInfo> prev_row;
-  std::vector<CellInfo> cur_row;
+  std::vector<CellInfo> bottom_row;
+  std::vector<simd::CandClose> closes;
 
   for (std::size_t k = 0; k < K; ++k) {
     const std::size_t col_lo = grid.col_offsets[k];  // 0-based
     const std::size_t W = grid.block_width(k);
 
-    top_row.assign(W, zero);
+    top_row.assign(W, CellInfo{});
     if (b > 0) recv_top(k, std::span<CellInfo>(top_row));
+    bottom_row.resize(W);
 
-    prev_row = top_row;
-    const std::span<const Base> t_cols = t.bases().subspan(col_lo, W);
-    cur_row.assign(W, zero);
-    std::vector<CellInfo> new_edge(H + 1, zero);
-    new_edge[0] = top_row.back();
-
-    for (std::size_t r = 1; r <= H; ++r) {
-      const std::size_t row = row_lo + r;  // 1-based matrix row
-      kernel.process_row_segment(s[row - 1], static_cast<std::uint32_t>(row),
-                                 t_cols, static_cast<std::uint32_t>(col_lo + 1),
-                                 prev_row, left_edge[r - 1], left_edge[r],
-                                 cur_row, sink);
-      new_edge[r] = cur_row.back();
-      std::swap(prev_row, cur_row);
+    const simd::CandBlock blk{s.data() + row_lo,
+                              H,
+                              t.data() + col_lo,
+                              W,
+                              static_cast<std::uint32_t>(row_lo + 1),
+                              static_cast<std::uint32_t>(col_lo + 1),
+                              top_row.data(),
+                              left_edge.data(),
+                              bottom_row.data(),
+                              new_edge.data()};
+    // The strip kernel buffers the block's close events and replays them
+    // in the scalar loop's row-major order, so the sink sees one sequence
+    // either way.
+    if (simd::cand_block(blk, cp, &closes)) {
+      for (const simd::CandClose& ev : closes) sink.close(ev);
+    } else {
+      kernel.process_block(blk, sink);
     }
-    left_edge = std::move(new_edge);
+    std::swap(left_edge, new_edge);
 
     if (!last_band) {
-      publish_bottom(k, std::span<const CellInfo>(prev_row));
+      publish_bottom(k, std::span<const CellInfo>(bottom_row));
     } else {
       // Bottom row of the whole matrix: flush still-open candidates.
-      for (const CellInfo& cell : prev_row) sink.flush_open(cell);
+      for (const CellInfo& cell : bottom_row) sink.flush_open(cell);
     }
   }
 }

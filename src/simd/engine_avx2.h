@@ -94,6 +94,27 @@ struct EngineAvx32 {
                            _mm256_zextsi128_si256(_mm_cvtsi32_si128(x)));
   }
   static int movemask(V m) { return _mm256_movemask_epi8(m); }
+  // Candidate-kernel extras (cand_kernel_inl.h).
+  static V or_(V a, V b) { return _mm256_or_si256(a, b); }
+  static V min(V a, V b) { return _mm256_min_epi32(a, b); }
+  static V lane_index() { return _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7); }
+  /// Lane l <- v[l-1], lane 0 <- v[L-1].
+  static V rot(V v) {
+    const V idx = _mm256_setr_epi32(7, 0, 1, 2, 3, 4, 5, 6);
+    return _mm256_permutevar8x32_epi32(v, idx);
+  }
+  /// Lane 0 <- *p (a broadcast load and an immediate blend).
+  static V insert0(V v, const std::int32_t* p) {
+    return _mm256_blend_epi32(v, _mm256_set1_epi32(*p), 0x01);
+  }
+  static std::int32_t lane0(V v) {
+    return _mm_cvtsi128_si32(_mm256_castsi256_si128(v));
+  }
+  /// Lane `idx[0]` of v (idx = bcast(i)).
+  static std::int32_t extract(V v, V idx) {
+    return _mm_cvtsi128_si32(
+        _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(v, idx)));
+  }
 };
 
 /// Striped engines (striped_kernel_inl.h contract).  shift1 uses the same

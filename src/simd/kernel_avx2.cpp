@@ -1,10 +1,11 @@
-// AVX2 backend: instantiates the shared anti-diagonal sweep over the 256-bit
-// engines.  This file is compiled with -mavx2 (see CMakeLists.txt); the
+// AVX2 backend: instantiates the shared anti-diagonal sweeps (score-only and
+// candidate-tracking) over the 256-bit engines.  This file is compiled with -mavx2 (see CMakeLists.txt); the
 // binary stays runnable on baseline x86-64 because dispatch.cpp only calls
 // in here after a CPUID check.
 #if defined(__x86_64__) || defined(__i386__)
 
 #include "simd/engine_avx2.h"
+#include "simd/cand_kernel_inl.h"
 #include "simd/diag_kernel_inl.h"
 
 namespace gdsm::simd::avx2 {
@@ -44,6 +45,15 @@ void nw_last_row_affine(const Base* a_seq, std::size_t a_len, const Base* b_seq,
                         std::int32_t* out_e) {
   detail::run_nw_affine<EngineAvx32>(a_seq, a_len, b_seq, b_len, sp, tb_open,
                                      out_h, out_e);
+}
+
+void cand_block(const CandBlock& blk, const CandParams& cp,
+                std::vector<CandClose>* closes) {
+  if (cp.score.gap_open != 0) {
+    detail::cand_sweep<EngineAvx32, true>(blk, cp, closes);
+  } else {
+    detail::cand_sweep<EngineAvx32, false>(blk, cp, closes);
+  }
 }
 
 }  // namespace gdsm::simd::avx2

@@ -34,8 +34,9 @@ CellInfo HeuristicKernel::update_cell(Base s_char, Base t_char, std::uint32_t ro
   }
 
   // Select the origin entry.  Among predecessors achieving `best`, the one
-  // with the largest 2*matches + 2*mismatches + gaps weight wins; remaining
-  // ties prefer horizontal, then vertical, then diagonal (Section 4.1).
+  // with the largest path weight (2*matches + 2*mismatches + gaps) wins;
+  // remaining ties prefer horizontal, then vertical, then diagonal
+  // (Section 4.1).
   enum { kLeft, kUp, kDiag };
   int origin = -1;
   std::int64_t origin_weight = -1;
@@ -61,15 +62,7 @@ CellInfo HeuristicKernel::update_cell(Base s_char, Base t_char, std::uint32_t ro
     cur.e = kCellNegInf;
     cur.f = kCellNegInf;
   }
-  if (origin == kDiag) {
-    if (sub > 0) {
-      ++cur.matches;
-    } else {
-      ++cur.mismatches;
-    }
-  } else {
-    ++cur.gaps;
-  }
+  cur.weight += origin == kDiag ? 2 : 1;
 
   // Running extrema of the inherited path.
   if (cur.score > cur.max_score) {
@@ -95,7 +88,7 @@ CellInfo HeuristicKernel::update_cell(Base s_char, Base t_char, std::uint32_t ro
     sink.close(cur);
     cur.flag = 0;
     // Restart the extremum window so the same path can later reopen; the
-    // gap/match/mismatch counters are intentionally NOT reset (Section 4.1).
+    // path weight is intentionally NOT reset (Section 4.1).
     cur.max_score = cur.min_score = cur.score;
     cur.max_i = row;
     cur.max_j = col;
@@ -130,6 +123,24 @@ void HeuristicKernel::process_row_segment(Base s_char, std::uint32_t row,
     diag = &prev[k];
     west = &out[k];
   }
+}
+
+void HeuristicKernel::process_block(const simd::CandBlock& blk,
+                                    CandidateSink& sink) const {
+  const std::size_t H = blk.rows;
+  const std::size_t W = blk.cols;
+  const std::span<const Base> t_cols(blk.t_seq, W);
+  std::vector<CellInfo> prev(blk.top, blk.top + W);
+  std::vector<CellInfo> cur(W);
+  blk.right[0] = blk.top[W - 1];
+  for (std::size_t r = 0; r < H; ++r) {
+    process_row_segment(blk.s_seq[r], blk.row0 + static_cast<std::uint32_t>(r),
+                        t_cols, blk.col0, prev, blk.left[r], blk.left[r + 1],
+                        cur, sink);
+    blk.right[r + 1] = cur.back();
+    std::swap(prev, cur);
+  }
+  std::copy(prev.begin(), prev.end(), blk.bottom);
 }
 
 std::vector<Candidate> heuristic_scan(const Sequence& s, const Sequence& t,

@@ -2,27 +2,30 @@
 // (Martins et al.'s candidate-alignment tracking).
 //
 // Instead of retaining the O(n^2) similarity array, every DP cell carries a
-// small record (current/max/min score, candidate coordinates, gap and
-// match/mismatch counters, an "open candidate" flag).  Candidate alignments
-// are *opened* when the score rises `open_threshold` above the running
-// minimum and *closed* (pushed to the queue) when it falls `close_drop`
-// below the running maximum.  When several predecessors tie for the cell
-// score, the origin whose counters maximize 2*matches + 2*mismatches + gaps
-// wins; remaining ties prefer the horizontal, then vertical, then diagonal
-// arrow (keeping gap runs together, per the paper).
+// small record (current/max/min score, candidate coordinates, a path
+// weight, an "open candidate" flag).  Candidate alignments are *opened*
+// when the score rises `open_threshold` above the running minimum and
+// *closed* (pushed to the queue) when it falls `close_drop` below the
+// running maximum.  When several predecessors tie for the cell score, the
+// origin with the largest path weight (the paper's 2*matches +
+// 2*mismatches + gaps counter, kept as one sum) wins; remaining ties prefer
+// the horizontal, then vertical, then diagonal arrow (keeping gap runs
+// together, per the paper).
 //
 // The row-segment kernel below is shared verbatim by the serial scan and by
-// the two parallel heuristic strategies: a parallel worker owns a column
-// range and feeds the kernel the border cells received from its left
-// neighbour, which is exactly the information the paper passes between
-// processors.
+// the parallel heuristic strategies: a parallel worker owns a column range
+// and feeds the kernel the border cells received from its left neighbour,
+// which is exactly the information the paper passes between processors.
+// The blocked strategies run whole blocks through the AVX2 strip kernel
+// (simd/cand_kernel.h) when the active backend has one; process_block is
+// its scalar reference, and the serial scan always stays scalar.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <type_traits>
 #include <vector>
 
+#include "simd/cand_kernel.h"
 #include "sw/alignment.h"
 #include "sw/scoring.h"
 #include "util/sequence.h"
@@ -39,42 +42,14 @@ struct HeuristicParams {
 /// "minus infinity" for the affine gap-state fields of CellInfo: boundary
 /// cells carry it so no gap run continues across the matrix edge.  Deep
 /// enough to never win, shallow enough that one extension cannot underflow.
-inline constexpr std::int32_t kCellNegInf = INT32_MIN / 4;
+inline constexpr std::int32_t kCellNegInf = simd::kNegInf;
 
-/// Per-cell record of the heuristic scan.  This is the value transmitted
-/// between processors at partition borders, so it is kept trivially
-/// copyable and fixed-size.
-///
-/// The affine gap model (scheme.gap_open != 0) adds the two Gotoh gap-state
-/// values `e` (gap run consuming t-characters, fed from the left) and `f`
-/// (gap run consuming s-characters, fed from above).  Under the linear model
-/// both stay at kCellNegInf everywhere, so linear scans are bit-identical to
-/// the historical record.
-struct CellInfo {
-  std::int32_t score = 0;      ///< sim(s[1..i], t[1..j])
-  std::int32_t max_score = 0;  ///< running maximum along the inherited path
-  std::int32_t min_score = 0;  ///< running minimum along the inherited path
-  std::int32_t e = kCellNegInf;///< Gotoh E state (horizontal run), affine only
-  std::int32_t f = kCellNegInf;///< Gotoh F state (vertical run), affine only
-  std::uint32_t begin_i = 0;   ///< candidate start row (1-based), valid when open
-  std::uint32_t begin_j = 0;   ///< candidate start column (1-based)
-  std::uint32_t max_i = 0;     ///< cell where max_score was reached
-  std::uint32_t max_j = 0;
-  std::uint32_t gaps = 0;      ///< gap counter (never reset; see paper)
-  std::uint32_t matches = 0;   ///< match counter
-  std::uint32_t mismatches = 0;///< mismatch counter
-  std::uint8_t flag = 0;       ///< 1 while a candidate alignment is open
-
-  /// Tie-break weight: gaps are penalized relative to aligned columns.
-  std::int64_t tie_weight() const noexcept {
-    return 2 * std::int64_t(matches) + 2 * std::int64_t(mismatches) + gaps;
-  }
-
-  friend bool operator==(const CellInfo&, const CellInfo&) = default;
-};
-
-static_assert(std::is_trivially_copyable_v<CellInfo>,
-              "CellInfo crosses DSM borders as raw bytes");
+/// Per-cell record of the heuristic scan (current/max/min score, E/F gap
+/// states, candidate and maximum coordinates, path weight, open flag).  The
+/// type is defined next to the vector strip kernels (simd/cand_kernel.h),
+/// which read and write block edges of it directly; this layer owns its
+/// semantics, implemented by HeuristicKernel::update_cell below.
+using CellInfo = simd::CandCell;
 
 /// Streaming sink for closed candidates.
 class CandidateSink {
@@ -83,10 +58,12 @@ class CandidateSink {
 
   /// Closes the candidate recorded in `cell` if it clears the report bar.
   void close(const CellInfo& cell) {
-    if (cell.max_score >= params_.min_report_score) {
-      queue_.push_back(Candidate{cell.max_score, cell.begin_i, cell.max_i,
-                                 cell.begin_j, cell.max_j});
-    }
+    report(cell.max_score, cell.begin_i, cell.max_i, cell.begin_j, cell.max_j);
+  }
+
+  /// Replays a close event of the candidate strip kernel.
+  void close(const simd::CandClose& ev) {
+    report(ev.max_score, ev.begin_i, ev.max_i, ev.begin_j, ev.max_j);
   }
 
   /// Flushes a still-open candidate at the end of the scan.
@@ -98,6 +75,13 @@ class CandidateSink {
   const std::vector<Candidate>& queue() const { return queue_; }
 
  private:
+  void report(std::int32_t score, std::uint32_t s_begin, std::uint32_t s_end,
+              std::uint32_t t_begin, std::uint32_t t_end) {
+    if (score >= params_.min_report_score) {
+      queue_.push_back(Candidate{score, s_begin, s_end, t_begin, t_end});
+    }
+  }
+
   HeuristicParams params_;
   std::vector<Candidate> queue_;
 };
@@ -127,6 +111,19 @@ class HeuristicKernel {
                            std::span<const CellInfo> prev, const CellInfo& diag_left,
                            const CellInfo& left, std::span<CellInfo> out,
                            CandidateSink& sink) const;
+
+  /// Computes one block (simd/cand_kernel.h contract) row by row with
+  /// process_row_segment: the scalar reference of the candidate strip
+  /// kernel.  Closed candidates stream into `sink` in row-major order.
+  void process_block(const simd::CandBlock& blk, CandidateSink& sink) const;
+
+  /// The kernel's costs and thresholds in the strip kernel's terms.
+  simd::CandParams cand_params() const noexcept {
+    return simd::CandParams{
+        simd::ScoreParams{scheme_.match, scheme_.mismatch, scheme_.gap,
+                          scheme_.gap_open},
+        params_.open_threshold, params_.close_drop};
+  }
 
   /// Single-cell update, exposed for exhaustive unit testing.
   CellInfo update_cell(Base s_char, Base t_char, std::uint32_t row,

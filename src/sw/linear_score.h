@@ -15,7 +15,10 @@
 namespace gdsm {
 
 /// Best local alignment score and the (1-based) matrix cell where it ends.
-/// On ties the first cell in row-major order wins, matching sw_fill.
+/// On ties the first cell in the scan's orientation wins: row-major (i, j)
+/// order, matching sw_fill, when |t| <= |s|; column-major (j, i) order when
+/// |t| > |s|, because the scan then runs over the transposed matrix (see
+/// sw_best_score_linear).
 struct BestLocal {
   int score = 0;
   std::size_t end_i = 0;  ///< 1-based: alignment consumes s[1..end_i]

@@ -4,6 +4,11 @@
 
 #include "core/exact_parallel.h"
 #include "sw/full_matrix.h"
+#include <initializer_list>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "util/genome.h"
 #include "util/rng.h"
 
@@ -76,6 +81,86 @@ TEST(ExactParallelEdge, RandomInputTieBreaksLikeSerial) {
   EXPECT_EQ(par.best.score, serial.score);
   EXPECT_EQ(par.best.end_i, serial.end_i);
   EXPECT_EQ(par.best.end_j, serial.end_j);
+}
+
+// A 4 kbp subject against a ~250 bp query: the serial scan runs over the
+// transposed matrix, so its ties break column-major.  This is probe 176 of
+// the repository benchmark's pair_service inputs at seed 14 (the generator
+// in perfbench/perfbench.cpp, replayed here), whose best score 222 ends at
+// both (251, 381) and (252, 380).
+TEST(ExactParallelEdge, LongerSubjectTieFollowsTheSerialScan) {
+  Rng rng(14 * 0x9e3779b97f4a7c15ull + 0x5eed);
+  std::vector<Sequence> subjects;
+  for (int k = 0; k < 4; ++k) {
+    subjects.push_back(random_dna(4000, rng, "subject" + std::to_string(k)));
+  }
+  Sequence query;
+  for (std::size_t i = 0; i <= 176; ++i) {
+    const Sequence& subj = subjects[i % 4];
+    const std::size_t b = rng.below(subj.size() - 250);
+    query = mutate(subj.slice(b, b + 250), 0.05, 0.01, rng);
+  }
+  const Sequence& subject = subjects[176 % 4];
+  ASSERT_EQ(query.size(), 252u);
+
+  const BestLocal serial = sw_best_score_linear(query, subject);
+  ASSERT_EQ(serial.score, 222);
+  ASSERT_EQ(serial.end_i, 252u);
+  ASSERT_EQ(serial.end_j, 380u);
+  MatrixBest row_major;
+  sw_fill(query, subject, ScoreScheme{}, &row_major);
+  ASSERT_EQ(row_major.i, 251u) << "the case must keep its tie";
+
+  for (const auto& [bands, blocks] :
+       {std::pair<std::size_t, std::size_t>{0, 0}, {8, 8}, {3, 17}, {16, 1}}) {
+    ExactParallelConfig cfg;
+    cfg.nprocs = 4;
+    cfg.bands = bands;
+    cfg.blocks = blocks;
+    const ExactParallelResult par = exact_align_parallel(query, subject, cfg);
+    EXPECT_EQ(par.best.score, serial.score);
+    EXPECT_EQ(par.best.end_i, serial.end_i) << bands << "x" << blocks;
+    EXPECT_EQ(par.best.end_j, serial.end_j) << bands << "x" << blocks;
+  }
+}
+
+// Two equally scoring copies placed so that row-major and column-major
+// order pick different end cells, under both gap models and both
+// orientations.
+TEST(ExactParallelEdge, TiesFollowTheScannedOrientation) {
+  Rng rng(828);
+  const Sequence x = random_dna(30, rng, "x");
+  const Sequence y = random_dna(30, rng, "y");
+  const auto cat = [](std::initializer_list<const Sequence*> parts) {
+    std::basic_string<Base> b;
+    for (const Sequence* p : parts) b.append(p->bases().begin(), p->bases().end());
+    return Sequence("c", std::move(b));
+  };
+  const Sequence pad = random_dna(70, rng, "pad");
+  // s = x y, t = y pad x: x ends at (30, 130), y at (60, 30).
+  const Sequence s = cat({&x, &y});
+  const Sequence t = cat({&y, &pad, &x});
+  ScoreScheme affine;
+  affine.gap_open = -3;
+  affine.gap = -1;
+  for (const ScoreScheme& scheme : {ScoreScheme{}, affine}) {
+    for (const bool swap : {false, true}) {
+      const Sequence& a = swap ? t : s;
+      const Sequence& b = swap ? s : t;
+      const BestLocal serial = sw_best_score_linear(a, b, scheme);
+      for (const int procs : {1, 3, 4}) {
+        ExactParallelConfig cfg;
+        cfg.nprocs = procs;
+        cfg.scheme = scheme;
+        const ExactParallelResult par = exact_align_parallel(a, b, cfg);
+        EXPECT_EQ(par.best.score, serial.score);
+        EXPECT_EQ(par.best.end_i, serial.end_i)
+            << "swap " << swap << " procs " << procs;
+        EXPECT_EQ(par.best.end_j, serial.end_j)
+            << "swap " << swap << " procs " << procs;
+      }
+    }
+  }
 }
 
 TEST(ExactParallelEdge, EmptyAndUnrelatedInputs) {

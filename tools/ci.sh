@@ -36,8 +36,9 @@
 #  11. db_smoke                -- database serving gate: oracle-verified
 #                                 --db loadgen burst + db fuzz sweep in the
 #                                 Release tree, then the db suite, a db
-#                                 fuzz replay and the striped overflow-
-#                                 escalation suite rebuilt and re-run under
+#                                 fuzz replay, the striped overflow-
+#                                 escalation suite and the candidate strip
+#                                 kernel suite rebuilt and re-run under
 #                                 Address/UBSanitizer (docs/SERVICE.md)
 #  12. db_cascade              -- the certified seed-and-extend stage:
 #                                 cascade on/off hit-for-hit identity vs the
@@ -203,18 +204,22 @@ build/tools/loadgen --db-gen=3 --subject-len=1200 --query-len=150 \
   --rate=150 --duration-s=2 --queue-cap=512 --min-score=40 --quiet
 build/tools/fuzz_align --db --budget-s=10 --quiet
 # The same surfaces under Address/UBSanitizer: the db suite (SubjectDb,
-# oracle, service path), one seeded db fuzz replay, and the striped
+# oracle, service path), one seeded db fuzz replay, the striped
 # overflow-escalation suite — the 8->16-bit re-run recycles thread-local
 # scratch rows at a different lane width, exactly where a stale-size or
-# out-of-bounds bug would hide (docs/KERNELS.md).
+# out-of-bounds bug would hide (docs/KERNELS.md) — and the candidate strip
+# kernel's differential suite, whose padded top-row buffer and partial
+# strips are the same kind of hiding place.
 cmake -B build-asan -S . -DGDSM_SANITIZE=ON \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "$JOBS" --target db_test fuzz_align \
-  striped_precision_test db_cascade_test
+  striped_precision_test candidate_kernel_test db_cascade_test
 build-asan/tests/db_test --gtest_brief=1
 build-asan/tools/fuzz_align --db --seed=1 --faults=none --quiet
 echo "==> striped escalation suite (ASan)"
 build-asan/tests/striped_precision_test --gtest_brief=1
+echo "==> candidate strip kernel suite (ASan)"
+build-asan/tests/candidate_kernel_test --gtest_brief=1
 
 stage "db_cascade (certified seed-and-extend + persisted index)"
 # Cascade on/off hit-for-hit identity against the brute-force oracle,

@@ -8,10 +8,15 @@
 //
 // Every case runs the cross-strategy differential oracle (src/testing): the
 // serial references judge wavefront, blocked, blocked_mp and exact_parallel
-// on the same seeded genome pair under the same fault plan.  On divergence
-// the case is minimized and the exact `--seed=... --faults=...` repro line
-// is printed; the exit code is 1.  `--report=<path>` additionally writes a
-// gdsm.run_report JSON document (docs/METRICS.md).
+// on the same seeded genome pair under the same fault plan.  The heuristic
+// strategies then run a second time with the kernel dispatch pinned to the
+// scalar backend, so both candidate-kernel paths (the AVX2 strip kernel
+// under the blocked strategies, and its scalar reference) are fuzzed; those
+// outcomes carry an "@scalar" suffix and replay under GDSM_KERNEL=scalar.
+// On divergence the case is minimized and the exact `--seed=...
+// --faults=...` repro line is printed; the exit code is 1.
+// `--report=<path>` additionally writes a gdsm.run_report JSON document
+// (docs/METRICS.md).
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -20,6 +25,7 @@
 
 #include "obs/report.h"
 #include "obs/snapshots.h"
+#include "simd/dispatch.h"
 #include "svc/service.h"
 #include "testing/db_oracle.h"
 #include "testing/oracle.h"
@@ -306,9 +312,25 @@ int main(int argc, char** argv) {
   };
 
   const auto run_case = [&](gdsm::testing::OracleCase c) {
-    const gdsm::testing::OracleVerdict v =
+    gdsm::testing::OracleVerdict v =
         service ? run_service_case(c, mask)
                 : gdsm::testing::run_differential(c, mask);
+    const unsigned heuristic =
+        mask & (gdsm::testing::kWavefront | gdsm::testing::kBlocked |
+                gdsm::testing::kBlockedMp);
+    const gdsm::simd::Backend active = gdsm::simd::active_backend();
+    if (heuristic != 0 && active != gdsm::simd::Backend::kScalar) {
+      gdsm::simd::force_backend(gdsm::simd::Backend::kScalar);
+      const gdsm::testing::OracleVerdict scalar =
+          service ? run_service_case(c, heuristic)
+                  : gdsm::testing::run_differential(c, heuristic);
+      gdsm::simd::force_backend(active);
+      for (gdsm::testing::StrategyOutcome o : scalar.outcomes) {
+        o.name += "@scalar";
+        v.outcomes.push_back(std::move(o));
+      }
+      v.ok = v.ok && scalar.ok;
+    }
     ++cases;
     report.add_row("cases", case_row(c, v));
     if (v.ok) {
