@@ -136,6 +136,7 @@ Json kernel_stats_json(bool host_clock) {
   j.set("hits", kernel_counters_json(ks.hits, host_clock));
   j.set("nw", kernel_counters_json(ks.nw, host_clock));
   j.set("nw_affine", kernel_counters_json(ks.nw_affine, host_clock));
+  j.set("cand", kernel_counters_json(ks.cand, host_clock));
   // v6: which gap models this run's kernels served.  The linear counters
   // above aggregate both models (one dispatch table serves both); the
   // affine-only nw_affine block plus this marker lets consumers split runs.

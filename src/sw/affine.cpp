@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "sw/full_matrix.h"
@@ -161,6 +162,13 @@ Alignment needleman_wunsch_affine(const Sequence& s, const Sequence& t,
 
 BestLocal sw_best_score_affine_linear(const Sequence& s, const Sequence& t,
                                       const AffineScheme& sc) {
+  // Same orientation rule as sw_best_score_linear: scan the transposed
+  // matrix when t is longer, so ties break the way that scan breaks them.
+  if (t.size() > s.size()) {
+    BestLocal r = sw_best_score_affine_linear(t, s, sc);
+    std::swap(r.end_i, r.end_j);
+    return r;
+  }
   const std::size_t m = s.size();
   const std::size_t n = t.size();
   std::vector<int> h_prev(n + 1, 0), h_cur(n + 1, 0);

@@ -55,7 +55,9 @@ Alignment smith_waterman_affine_ending_at(const Sequence& s, const Sequence& t,
 Alignment needleman_wunsch_affine(const Sequence& s, const Sequence& t,
                                   const AffineScheme& scheme = {});
 
-/// Linear-space best local score and end cell under affine gaps.
+/// Linear-space best local score and end cell under affine gaps.  Like
+/// sw_best_score_linear it scans the transposed matrix when |t| > |s|, so
+/// its ties break in the same orientation (see BestLocal).
 BestLocal sw_best_score_affine_linear(const Sequence& s, const Sequence& t,
                                       const AffineScheme& scheme = {});
 

@@ -2,12 +2,18 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 #include <vector>
 
 namespace gdsm::testing {
 
 BestLocal gotoh_best_ref(const Sequence& s, const Sequence& t,
                          const ScoreScheme& sc) {
+  if (t.size() > s.size()) {
+    BestLocal r = gotoh_best_ref(t, s, sc);
+    std::swap(r.end_i, r.end_j);
+    return r;
+  }
   constexpr int kNegInf = std::numeric_limits<int>::min() / 4;
   const std::size_t m = s.size();
   const std::size_t n = t.size();

@@ -15,9 +15,11 @@
 
 namespace gdsm::testing {
 
-/// Best local score and end cell (first of maximum in row-major order) under
-/// the scheme's gap model — affine (Gotoh) when scheme.gap_open != 0, plain
-/// linear otherwise.  Dense O(mn) space; oracle-sized inputs only.
+/// Best local score and end cell under the scheme's gap model — affine
+/// (Gotoh) when scheme.gap_open != 0, plain linear otherwise.  Ties break
+/// like sw_best_score_linear (see BestLocal): first maximum in row-major
+/// order, over the transposed matrix when |t| > |s|.  Dense O(mn) space;
+/// oracle-sized inputs only.
 BestLocal gotoh_best_ref(const Sequence& s, const Sequence& t,
                          const ScoreScheme& scheme);
 

@@ -16,6 +16,8 @@
 #include "svc/stats.h"
 #include "sw/heuristic_scan.h"
 #include "sw/linear_score.h"
+#include "testing/gotoh_ref.h"
+#include "testing/oracle.h"
 #include "util/genome.h"
 #include "util/rng.h"
 
@@ -189,6 +191,49 @@ TEST(AlignService, AnswersMatchTheSerialReferencePerStrategy) {
   EXPECT_EQ(out.result.best.score, ref_best.score);
   EXPECT_EQ(out.result.best.end_i, ref_best.end_i);
   EXPECT_EQ(out.result.best.end_j, ref_best.end_j);
+}
+
+// A query shorter than its subject whose best score is tied between two
+// cells (oracle case seed 1127 at 200 x 500; the differential oracle holds
+// the same pair): the exact strategy and the in-service serial reference
+// must pick the same cell under both gap models.
+TEST(AlignService, ExactTieOnALongerSubjectPassesVerify) {
+  testing::OracleCase c;
+  c.seed = 1127;
+  c.length_s = 200;
+  c.length_t = 500;
+  c.n_regions = 3;
+  HomologousPair pair = c.make_pair();
+  pair.t.set_name("chr");
+
+  ServiceConfig cfg;
+  cfg.nprocs = 4;
+  cfg.verify = true;
+  AlignService service(cfg);
+  service.load_subject(pair.t);
+  for (const bool affine : {false, true}) {
+    ScoreScheme scheme;
+    if (affine) {
+      scheme.gap_open = -3;
+      scheme.gap = -1;
+    }
+    // A best cell in an earlier row, which a row-major scan would pick.
+    const BestLocal serial = sw_best_score_linear(pair.s, pair.t, scheme);
+    const Sequence upper = pair.s.slice(0, serial.end_i - 1);
+    ASSERT_EQ(testing::gotoh_best_ref(upper, pair.t, scheme).score,
+              serial.score)
+        << "the case must keep its tie";
+
+    QuerySpec q;
+    q.subject = "chr";
+    q.query = pair.s;
+    q.strategy = StrategyKind::kExact;
+    q.scheme = scheme;
+    const auto adm = service.submit(std::move(q));
+    ASSERT_TRUE(adm.admitted());
+    const QueryOutcome& out = adm.ticket->wait();
+    EXPECT_TRUE(out.ok) << (affine ? "affine: " : "linear: ") << out.error;
+  }
 }
 
 TEST(AlignService, SecondQueryOnSameSubjectRunsWarm) {
